@@ -232,8 +232,23 @@
 // keeping the per-component loop only as the fallback — the fixed-point
 // residual of a coupled operator is O(n + apply), not O(n^2).
 //
+// The model engine's read loop draws n labels l_h(j) and reads n past
+// values x_h(l_h(j)) every iteration, however few components it relaxes.
+// Its History keeps each component's latest value and update iteration in
+// flat arrays, so a read at or after the last update is one compare; older
+// values stay in full, because an unbounded delay may reach arbitrarily far
+// back, and a stale read scans back from the newest entry before
+// binary-searching. A DelayModel may add the optional fast-path method
+// LabelsInto(j int, dst []int) (minLabel int), which writes l_h(j) into
+// dst[h] for every component and returns the minimum of j-1 and those
+// labels, to draw every label of an iteration in one call; the stateless
+// built-ins (fresh, constant, bounded random, out-of-order, sqrt and log
+// growth) have it. A custom DelayModel without it, or a wrapper that does
+// not forward it (such as perfbench's traced delay wrapper), takes the
+// per-component Label path with bit-identical results.
+//
 // Repeated Solves of the same shape can additionally share buffers across
-// runs:
+// runs (the model engine's History and label buffer included):
 //
 //	scr := repro.NewScratch()
 //	for _, seed := range seeds {

@@ -12,75 +12,125 @@
 // internal/des and internal/runtime and feed the same bookkeeping.
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // History stores the per-component update history of an asynchronous
 // iteration so that any past value x_i(l) can be retrieved — the storage
 // required by unbounded delays. Memory is proportional to the number of
 // updates actually performed (not iterations x dimension), because a
 // component's value only changes when it is relaxed.
+//
+// Each component's latest value and update iteration live in two flat
+// arrays, so the common read — a label at or after the component's last
+// update — is one compare. Superseded values stay in per-component slices
+// (oldest first), because an unbounded delay may reach arbitrarily far
+// back; a read older than the last update scans a few entries back from
+// the tail and then binary-searches.
 type History struct {
-	n     int
-	iters [][]int     // per component: strictly increasing update iterations
-	vals  [][]float64 // parallel values
+	cur     []float64   // per component: latest value
+	curIter []int       // per component: iteration of the latest value
+	iters   [][]int     // per component: strictly increasing iterations of superseded values
+	vals    [][]float64 // parallel superseded values
 }
+
+// tailScan is how many superseded entries At probes linearly, newest
+// first, before falling back to binary search: bounded delays land within
+// a few updates of the tail.
+const tailScan = 4
 
 // NewHistory starts a history at iteration 0 with initial iterate x0.
 func NewHistory(x0 []float64) *History {
-	h := &History{
-		n:     len(x0),
-		iters: make([][]int, len(x0)),
-		vals:  make([][]float64, len(x0)),
-	}
-	for i, v := range x0 {
-		h.iters[i] = append(h.iters[i], 0)
-		h.vals[i] = append(h.vals[i], v)
-	}
+	h := &History{}
+	h.Reset(x0)
 	return h
 }
 
+// Reset restarts the history at iteration 0 with initial iterate x0,
+// keeping the storage of earlier runs for reuse: a history reset to the
+// same shape and driven through the same updates allocates nothing.
+func (h *History) Reset(x0 []float64) {
+	n := len(x0)
+	h.cur = append(h.cur[:0], x0...)
+	if cap(h.curIter) < n {
+		h.curIter = make([]int, n)
+	}
+	h.curIter = h.curIter[:n]
+	clear(h.curIter)
+	if cap(h.iters) < n {
+		// Grow the outer slices, carrying over every inner slice (also
+		// those beyond the current length) so their storage is reused.
+		iters, vals := make([][]int, n), make([][]float64, n)
+		copy(iters, h.iters[:cap(h.iters)])
+		copy(vals, h.vals[:cap(h.vals)])
+		h.iters, h.vals = iters, vals
+	}
+	h.iters, h.vals = h.iters[:n], h.vals[:n]
+	for i := range h.iters {
+		h.iters[i] = h.iters[i][:0]
+		h.vals[i] = h.vals[i][:0]
+	}
+}
+
 // Dim returns the number of components.
-func (h *History) Dim() int { return h.n }
+func (h *History) Dim() int { return len(h.cur) }
 
 // Set records that component i took value v at iteration j. Iterations must
-// be recorded in increasing order per component.
+// be recorded in increasing order per component; a second Set at the same
+// iteration overwrites the first.
 func (h *History) Set(i, j int, v float64) {
-	last := h.iters[i][len(h.iters[i])-1]
+	last := h.curIter[i]
 	if j < last {
 		panic(fmt.Sprintf("core: History.Set out of order for comp %d: j=%d after %d", i, j, last))
 	}
-	if j == last {
-		h.vals[i][len(h.vals[i])-1] = v
-		return
+	if j > last {
+		h.iters[i] = append(h.iters[i], last)
+		h.vals[i] = append(h.vals[i], h.cur[i])
+		h.curIter[i] = j
 	}
-	h.iters[i] = append(h.iters[i], j)
-	h.vals[i] = append(h.vals[i], v)
+	h.cur[i] = v
 }
 
 // At returns x_i(l): the value component i had at iteration label l (the
-// most recent update at or before l).
+// most recent update at or before l; the initial value for l < 0).
+//
+//repro:hotpath
 func (h *History) At(i, l int) float64 {
-	it := h.iters[i]
-	// Find the largest index with it[idx] <= l.
-	idx := sort.Search(len(it), func(k int) bool { return it[k] > l }) - 1
-	if idx < 0 {
-		idx = 0
+	if h.curIter[i] <= l {
+		return h.cur[i]
 	}
-	return h.vals[i][idx]
+	it := h.iters[i]
+	if len(it) == 0 {
+		return h.cur[i] // never updated: cur is the initial value
+	}
+	k := len(it) - 1
+	for stop := max(k-tailScan, 0); k > stop; k-- {
+		if it[k] <= l {
+			return h.vals[i][k]
+		}
+	}
+	// Binary search it[0..k] for the largest index with it[idx] <= l; the
+	// initial value (index 0, iteration 0) answers any earlier label.
+	lo, hi := 0, k+1 // it[lo-1] <= l (or lo == 0), it[hi] > l
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if it[mid] <= l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return h.vals[i][max(lo-1, 0)]
 }
 
 // Latest returns the most recent value of component i.
-func (h *History) Latest(i int) float64 { return h.vals[i][len(h.vals[i])-1] }
+func (h *History) Latest(i int) float64 { return h.cur[i] }
 
 // LatestIter returns the iteration at which component i was last updated.
-func (h *History) LatestIter(i int) int { return h.iters[i][len(h.iters[i])-1] }
+func (h *History) LatestIter(i int) int { return h.curIter[i] }
 
 // Snapshot materializes the full iterate vector x(l) at label l.
 func (h *History) Snapshot(l int) []float64 {
-	x := make([]float64, h.n)
+	x := make([]float64, len(h.cur))
 	for i := range x {
 		x[i] = h.At(i, l)
 	}
@@ -89,7 +139,7 @@ func (h *History) Snapshot(l int) []float64 {
 
 // LatestSnapshot materializes the freshest iterate vector.
 func (h *History) LatestSnapshot() []float64 {
-	x := make([]float64, h.n)
+	x := make([]float64, len(h.cur))
 	h.LatestSnapshotInto(x)
 	return x
 }
@@ -97,9 +147,7 @@ func (h *History) LatestSnapshot() []float64 {
 // LatestSnapshotInto writes the freshest iterate vector into dst (length n)
 // without allocating.
 func (h *History) LatestSnapshotInto(dst []float64) {
-	for i := range dst {
-		dst[i] = h.Latest(i)
-	}
+	copy(dst, h.cur)
 }
 
 // Updates returns the total number of recorded updates (excluding the
@@ -107,7 +155,7 @@ func (h *History) LatestSnapshotInto(dst []float64) {
 func (h *History) Updates() int {
 	total := 0
 	for i := range h.iters {
-		total += len(h.iters[i]) - 1
+		total += len(h.iters[i])
 	}
 	return total
 }

@@ -80,11 +80,15 @@ type Config struct {
 const doneCheckEvery = 256
 
 // RunScratch bundles the model engine's reusable buffers: the operator
-// evaluation scratch and the read vectors assembled every iteration.
+// evaluation scratch, the update history, and the labels and read vectors
+// assembled every iteration, so a run backed by a reused RunScratch does not
+// re-allocate them.
 type RunScratch struct {
 	// Op is the operator-evaluation scratch threaded through every
 	// component relaxation.
 	Op            *operators.Scratch
+	hist          *History // reset at the start of every run
+	labels        []int    // l_h(j) of the current iteration
 	xread, xlabel []float64
 	gsSnap        []float64 // residual-aware steering's snapshot buffer
 	blockOut      []float64 // block-evaluation output buffer
@@ -103,6 +107,24 @@ func (s *RunScratch) vecs(n int) (xread, xlabel []float64) {
 		s.xlabel = make([]float64, n)
 	}
 	return s.xread[:n], s.xlabel[:n]
+}
+
+// history returns the pooled History reset to start from x0.
+func (s *RunScratch) history(x0 []float64) *History {
+	if s.hist == nil {
+		s.hist = NewHistory(x0)
+	} else {
+		s.hist.Reset(x0)
+	}
+	return s.hist
+}
+
+// labelBuf returns the label buffer resized to n.
+func (s *RunScratch) labelBuf(n int) []int {
+	if cap(s.labels) < n {
+		s.labels = make([]int, n)
+	}
+	return s.labels[:n]
 }
 
 // blockVec returns the block-evaluation output buffer resized to n.
@@ -237,7 +259,6 @@ func Run(cfg Config) (*Result, error) {
 		residEvery = n
 	}
 
-	hist := NewHistory(x0)
 	tracker := macroiter.NewTracker(n)
 	epochs := macroiter.NewEpochTracker(workers)
 	res := &Result{}
@@ -249,6 +270,7 @@ func Run(cfg Config) (*Result, error) {
 		scratch.Op = operators.NewScratch()
 	}
 	scratch.Op.SetTuning(cfg.Tuning)
+	hist := scratch.history(x0)
 
 	// Wire residual-aware steering (Gauss–Southwell) to live residuals. The
 	// closure runs once per candidate component per Select, so it reuses a
@@ -269,6 +291,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	xread, xlabel := scratch.vecs(n)
+	labels := scratch.labelBuf(n)
+	batch, _ := cfg.Delay.(delay.BatchModel)
 	var arena recordArena
 	converged := false
 
@@ -285,20 +309,34 @@ func Run(cfg Config) (*Result, error) {
 		}
 		S := cfg.Steering.Select(j)
 
-		// Assemble the read vector: labelled values, optionally blended
-		// toward the freshest state (flexible communication).
-		minLabel := j - 1
-		for h := 0; h < n; h++ {
-			l := cfg.Delay.Label(h, j)
-			if l < minLabel {
-				minLabel = l
+		// Draw the labels l_h(j) — in one call when the delay model has
+		// the batched fast path, otherwise one Label call per component.
+		var minLabel int
+		if batch != nil {
+			minLabel = batch.LabelsInto(j, labels)
+		} else {
+			minLabel = j - 1
+			for h := range labels {
+				l := cfg.Delay.Label(h, j)
+				labels[h] = l
+				minLabel = min(minLabel, l)
 			}
-			lv := hist.At(h, l)
-			xlabel[h] = lv
-			if cfg.Theta > 0 {
-				xread[h] = flexible.Interpolate(lv, hist.At(h, j-1), cfg.Theta)
-			} else {
-				xread[h] = lv
+		}
+
+		// Assemble the read vector: labelled values, optionally blended
+		// toward the freshest state x_h(j-1), which is hist.Latest(h) as
+		// nothing is set at j yet (flexible communication). Without
+		// blending the read vector is the labelled one, and xlabel (read
+		// only by the constraint (3) check below) stays unfilled.
+		if cfg.Theta > 0 {
+			for h, l := range labels {
+				lv := hist.At(h, l)
+				xlabel[h] = lv
+				xread[h] = flexible.Interpolate(lv, hist.Latest(h), cfg.Theta)
+			}
+		} else {
+			for h, l := range labels {
+				xread[h] = hist.At(h, l)
 			}
 		}
 

@@ -37,6 +37,35 @@ type Model interface {
 	Name() string
 }
 
+// BatchModel is an optional fast path on Model, in the idiom of
+// operators.BlockScratchOperator: LabelsInto draws the labels of every
+// component for one iteration in a single call, hoisting the per-iteration
+// work (the j part of the hash, the delay of a growth model) out of the
+// component loop. Engines use it when present and fall back to one Label
+// call per component otherwise, so a model — or a wrapper around one — that
+// does not implement it still yields identical labels.
+//
+// Contract: dst[h] == Label(h, j) for every h in [0, len(dst)), and the
+// return value is the minimum of j-1 and those labels. Implementations must
+// not allocate.
+type BatchModel interface {
+	Model
+	LabelsInto(j int, dst []int) (minLabel int)
+}
+
+// fillLabel writes the same label l into every dst slot and returns the
+// minimum of j-1 and the labels written (the minLabel of a
+// component-independent model).
+func fillLabel(j, l int, dst []int) int {
+	if len(dst) == 0 {
+		return j - 1
+	}
+	for h := range dst {
+		dst[h] = l
+	}
+	return min(j-1, l)
+}
+
 func clampLabel(l, j int) int {
 	if l > j-1 {
 		l = j - 1
@@ -49,10 +78,45 @@ func clampLabel(l, j int) int {
 
 // hash64 mixes (seed, i, j) into pseudo-random 64 bits (SplitMix64 finalizer).
 func hash64(seed uint64, i, j int) uint64 {
-	z := seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15 ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
+	return mix64(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15 ^ (uint64(j)+1)*0xbf58476d1ce4e5b9)
+}
+
+// mix64 is the SplitMix64 finalizer.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// uniformLabelsInto writes, for every component h, the label j-d with d
+// uniform on [1, w] drawn from hash64(seed, h, j), clamped at 0, and
+// returns the minimum of j-1 and those labels. It is bit-identical to
+// per-component clampLabel(j-1-hash64(seed, h, j)%w, j) for w >= 1: the j
+// part of the hash is hoisted, the h part advances by one odd-constant
+// addition (the same product mod 2^64), and a power-of-two w takes the
+// exact mask instead of the modulo.
+//
+//repro:hotpath
+func uniformLabelsInto(seed uint64, w, j int, dst []int) int {
+	base := seed ^ (uint64(j)+1)*0xbf58476d1ce4e5b9
+	step := uint64(0x9e3779b97f4a7c15)
+	hi := step // (uint64(h)+1) * step for h = 0
+	uw := uint64(w)
+	pow2 := uw&(uw-1) == 0
+	minLabel := j - 1
+	for h := range dst {
+		z := mix64(base ^ hi)
+		if pow2 {
+			z &= uw - 1
+		} else {
+			z %= uw
+		}
+		l := max(j-1-int(z), 0)
+		dst[h] = l
+		minLabel = min(minLabel, l)
+		hi += step
+	}
+	return minLabel
 }
 
 // Fresh is the zero-delay model: every update reads the immediately
@@ -63,11 +127,21 @@ type Fresh struct{}
 func (Fresh) Label(i, j int) int { return clampLabel(j-1, j) }
 func (Fresh) Name() string       { return "fresh" }
 
+// LabelsInto implements BatchModel.
+//
+//repro:hotpath
+func (Fresh) LabelsInto(j int, dst []int) int { return fillLabel(j, clampLabel(j-1, j), dst) }
+
 // Constant applies a fixed delay D >= 1: l_i(j) = j - D (clamped).
 type Constant struct{ D int }
 
 func (c Constant) Label(i, j int) int { return clampLabel(j-c.D, j) }
 func (c Constant) Name() string       { return fmt.Sprintf("constant(%d)", c.D) }
+
+// LabelsInto implements BatchModel.
+//
+//repro:hotpath
+func (c Constant) LabelsInto(j int, dst []int) int { return fillLabel(j, clampLabel(j-c.D, j), dst) }
 
 // BoundedRandom draws, independently per (i, j), a delay uniform on [1, B].
 // This is the chaotic-relaxation regime (condition d with bound b = B).
@@ -86,6 +160,13 @@ func (m BoundedRandom) Label(i, j int) int {
 
 func (m BoundedRandom) Name() string { return fmt.Sprintf("boundedRandom(B=%d)", m.B) }
 
+// LabelsInto implements BatchModel.
+//
+//repro:hotpath
+func (m BoundedRandom) LabelsInto(j int, dst []int) int {
+	return uniformLabelsInto(m.Seed, max(m.B, 1), j, dst)
+}
+
 // SqrtGrowth reproduces Baudet's unbounded-delay example (Section II of the
 // paper): the delay of the designated slow components grows like sqrt(j)
 // while fast components read fresh values. Condition b) still holds because
@@ -100,11 +181,45 @@ func (m SqrtGrowth) Label(i, j int) int {
 	if m.Slow != nil && !m.Slow[i] {
 		return clampLabel(j-1, j)
 	}
+	return sqrtLabel(j)
+}
+
+// sqrtLabel is the slow components' label j - 1 - floor(sqrt(j)), clamped.
+func sqrtLabel(j int) int {
 	d := 1 + int(math.Floor(math.Sqrt(float64(j))))
 	return clampLabel(j-d, j)
 }
 
 func (m SqrtGrowth) Name() string { return "sqrtGrowth" }
+
+// LabelsInto implements BatchModel.
+//
+//repro:hotpath
+func (m SqrtGrowth) LabelsInto(j int, dst []int) int {
+	return slowLabelsInto(m.Slow, sqrtLabel(j), j, dst)
+}
+
+// slowLabelsInto writes slow to the components marked in the slow set (all
+// of them when it is nil) and the fresh label to the others, returning the
+// minimum of j-1 and those labels.
+//
+//repro:hotpath
+func slowLabelsInto(set map[int]bool, slow, j int, dst []int) int {
+	if set == nil {
+		return fillLabel(j, slow, dst)
+	}
+	fresh := clampLabel(j-1, j)
+	minLabel := j - 1
+	for h := range dst {
+		l := fresh
+		if set[h] {
+			l = slow
+		}
+		dst[h] = l
+		minLabel = min(minLabel, l)
+	}
+	return minLabel
+}
 
 // LogGrowth has delays growing like log2(j): a milder unbounded-delay model.
 type LogGrowth struct{ Slow map[int]bool }
@@ -113,6 +228,11 @@ func (m LogGrowth) Label(i, j int) int {
 	if m.Slow != nil && !m.Slow[i] {
 		return clampLabel(j-1, j)
 	}
+	return logLabel(j)
+}
+
+// logLabel is the slow components' label j - 1 - floor(log2(j)), clamped.
+func logLabel(j int) int {
 	d := 1
 	if j > 1 {
 		d = 1 + int(math.Floor(math.Log2(float64(j))))
@@ -121,6 +241,13 @@ func (m LogGrowth) Label(i, j int) int {
 }
 
 func (m LogGrowth) Name() string { return "logGrowth" }
+
+// LabelsInto implements BatchModel.
+//
+//repro:hotpath
+func (m LogGrowth) LabelsInto(j int, dst []int) int {
+	return slowLabelsInto(m.Slow, logLabel(j), j, dst)
+}
 
 // OutOfOrder models out-of-order message delivery: within a sliding window
 // of width W the label jumps around non-monotonically (a later update may
@@ -142,6 +269,13 @@ func (m OutOfOrder) Label(i, j int) int {
 }
 
 func (m OutOfOrder) Name() string { return fmt.Sprintf("outOfOrder(W=%d)", m.W) }
+
+// LabelsInto implements BatchModel.
+//
+//repro:hotpath
+func (m OutOfOrder) LabelsInto(j int, dst []int) int {
+	return uniformLabelsInto(m.Seed, max(m.W, 1), j, dst)
+}
 
 // PerComponent assigns a distinct sub-model to each component; components
 // beyond len(Models) fall back to Fresh. It expresses heterogeneous workers

@@ -220,3 +220,62 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
+
+// batchModels returns every built-in BatchModel under test: the instances
+// of allModels that implement the fast path, plus the bounded families at
+// bounds that exercise the clamp region (j <= B), the power-of-two mask
+// path (B = 1, 8, 16) and the modulo path (B = 3, 6), and the degenerate
+// B = 0.
+func batchModels() []BatchModel {
+	var out []BatchModel
+	for _, m := range allModels() {
+		if bm, ok := m.(BatchModel); ok {
+			out = append(out, bm)
+		}
+	}
+	for _, b := range []int{0, 1, 3, 6, 8, 16} {
+		out = append(out,
+			Constant{D: b},
+			BoundedRandom{B: b, Seed: uint64(b) + 7},
+			OutOfOrder{W: b, Seed: uint64(b) + 11},
+		)
+	}
+	out = append(out,
+		LogGrowth{Slow: map[int]bool{0: true, 5: true}},
+		SqrtGrowth{Slow: map[int]bool{}},
+	)
+	return out
+}
+
+// TestLabelsIntoMatchesLabel pins the BatchModel contract for every
+// built-in fast path: LabelsInto(j, dst)[h] == Label(h, j) for all h, and
+// the returned minimum is min(j-1, min_h Label(h, j)).
+func TestLabelsIntoMatchesLabel(t *testing.T) {
+	js := []int{}
+	for j := 1; j <= 100; j++ {
+		js = append(js, j)
+	}
+	js = append(js, 1<<10, 1<<10+1, 1<<20+3, 1<<40+5)
+	for _, m := range batchModels() {
+		for _, n := range []int{0, 1, 9} {
+			dst := make([]int, n)
+			for _, j := range js {
+				for h := range dst {
+					dst[h] = -99 // stale contents must be overwritten
+				}
+				got := m.LabelsInto(j, dst)
+				want := j - 1
+				for h := 0; h < n; h++ {
+					l := m.Label(h, j)
+					if dst[h] != l {
+						t.Fatalf("%s: LabelsInto(j=%d)[%d] = %d, Label = %d", m.Name(), j, h, dst[h], l)
+					}
+					want = min(want, l)
+				}
+				if got != want {
+					t.Fatalf("%s n=%d j=%d: LabelsInto min = %d, want %d", m.Name(), n, j, got, want)
+				}
+			}
+		}
+	}
+}
